@@ -2,7 +2,9 @@
 // Alignment results and the seed type used by seed-and-extend.
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "seq/read_store.hpp"
 
@@ -63,5 +65,13 @@ struct AlignmentRecord {
   seq::ReadId read_b = seq::kInvalidRead;
   Alignment alignment;
 };
+
+/// The one byte layout of a record on the wire and in durable storage
+/// (checkpoints, recovery logs, assembly manifests), little-endian:
+/// read_a, read_b, score, a_begin, a_end, b_begin, b_end as u32, b_reversed
+/// as u8, cells as u64 — 37 bytes. get_record throws gnb::Error on a
+/// truncated buffer.
+void put_record(std::vector<std::uint8_t>& out, const AlignmentRecord& record);
+AlignmentRecord get_record(std::span<const std::uint8_t> in, std::size_t& offset);
 
 }  // namespace gnb::align

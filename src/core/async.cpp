@@ -1,6 +1,5 @@
 #include "core/async.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <thread>
 #include <unordered_map>
@@ -22,19 +21,12 @@ using rt::Bytes;
 
 constexpr std::uint32_t kReadLookupRpc = 1;
 
-/// How often the completion loop scans for timed-out pulls, in progress()
-/// polls. Scanning is O(outstanding batches); amortize it.
-constexpr std::uint64_t kTimeoutScanMask = 63;
-
 /// Caller-side record of one logical pull (one proto::PullBatch). The
 /// logical id — the batch index — travels in the request and reply payloads
-/// so that retries and injected duplicates are recognizable: rt-level
-/// request ids change on every (re)issue, logical ids never do.
+/// so that injected duplicates are recognizable. A pull is issued once and
+/// ends by its reply or by kPeerDead, never by a timeout.
 struct PullState {
-  std::uint64_t issued_tick = 0;  // completion-loop tick of the last (re)issue
-  std::uint32_t attempts = 1;
   bool done = false;
-  bool exhausted = false;  // retry budget spent (counted once)
 };
 
 }  // namespace
@@ -95,9 +87,8 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
   proto::PullIndex index;
   std::vector<proto::PullBatch> batches;
   // At-most-once bookkeeping (the engine-side hardening fault injection
-  // forces): the caller tracks which logical pulls completed so duplicate
-  // replies — from injected duplicates or from retries whose original
-  // eventually arrived — are dropped, and the callee keeps a reply cache so
+  // forces): the caller tracks which logical pulls completed so injected
+  // duplicate replies are dropped, and the callee keeps a reply cache so
   // duplicate requests are served identically without recomputation.
   std::unordered_map<std::uint64_t, Bytes> reply_cache;  // (src, logical) -> reply
   {
@@ -129,8 +120,8 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
           if (chaos) {
             const auto it = reply_cache.find(cache_key);
             if (it != reply_cache.end()) {
-              // Callee-side request dedup: a duplicate (injected or retried)
-              // is served from the cache — same bytes, no recomputation.
+              // Callee-side request dedup: an injected duplicate is served
+              // from the cache — same bytes, no recomputation.
               ++rank.fault_counters().duplicates;
               return it->second;
             }
@@ -208,7 +199,6 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
   // reply omitted, queue here until the next loop pass re-routes them.
   std::vector<std::size_t> peer_dead_pulls;
   std::vector<seq::ReadId> orphaned_reads;
-  std::uint64_t tick = 0;  // completion-loop polls (the engine's clock)
 
   const auto on_reply = [&](Bytes reply) {
     std::size_t offset = 0;
@@ -216,8 +206,8 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
     GNB_CHECK_MSG(logical < states.size(), "reply for unknown pull " << logical);
     PullState& state = states[logical];
     if (state.done) {
-      // Duplicate completion: a second copy of the reply, or a retry racing
-      // its delayed original. At-most-once: drop it.
+      // Duplicate completion: an injected second copy of the reply.
+      // At-most-once: drop it.
       ++rank.fault_counters().duplicates;
       return;
     }
@@ -325,9 +315,7 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
       }
       for (auto& [owner, reads] : regrouped) {
         batches.push_back(proto::PullBatch{owner, std::move(reads)});
-        PullState fresh;
-        fresh.issued_tick = tick;
-        states.push_back(fresh);
+        states.emplace_back();
         // Throttling polls progress, which may fail more pulls or deliver
         // more partial replies — the outer while picks those up.
         rank.rpc().throttle(window.limit());
@@ -361,16 +349,10 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
       ++result.messages;
     }
 
-  // --- completion loop: poll progress, re-issue timed-out pulls ---
-  // Time is progress() polls, not the wall clock: deterministic under the
-  // runtime's control and proportional to how much serving the rank has
-  // actually done. The per-pull timeout doubles with every attempt
-  // (bounded exponential backoff); once the budget is spent the event is
-  // counted and — with no fault injector to explain the silence — surfaced
-  // as a typed RpcRetriesExhaustedError instead of waiting forever. Under
-  // chaos the caller keeps polling: injected delays make late delivery the
-  // expected outcome, and peer death arrives separately as kPeerDead.
-  const std::uint64_t timeout = config.proto.rpc_timeout;
+  // --- completion loop: poll progress until every pull has ended ---
+  // Each pull is issued once and ends by its reply or, under a fault plan,
+  // by kPeerDead. The in-process fabric never loses a message: injected
+  // faults only delay, duplicate or reorder it, so waiting is always right.
   std::size_t crash_checked = 0;
   while (completed < batches.size()) {
     if (rank.rpc().progress() == 0) std::this_thread::yield();
@@ -387,40 +369,9 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
         rank.crash_point();
       }
     }
-    ++tick;
-    if (timeout == 0 || (tick & kTimeoutScanMask) != 0) continue;
-    for (std::size_t b = 0; b < batches.size(); ++b) {
-      PullState& state = states[b];
-      if (state.done) continue;
-      const std::uint64_t backoff =
-          timeout << std::min<std::uint32_t>(state.attempts - 1, 16);
-      if (tick - state.issued_tick < backoff) continue;
-      ++rank.fault_counters().timeouts;
-      GNB_INSTANT(obs::span::kRpcTimeout, "pull", b);
-      state.issued_tick = tick;
-      if (state.attempts > config.proto.max_retries) {
-        if (!state.exhausted) {
-          state.exhausted = true;
-          ++rank.fault_counters().retry_exhausted;
-          if (!chaos) {
-            std::ostringstream msg;
-            msg << "rank " << me << ": pull " << b << " to rank " << batches[b].owner
-                << " still unanswered after " << config.proto.max_retries
-                << " retries and no fault injection to explain it";
-            throw RpcRetriesExhaustedError(msg.str());
-          }
-        }
-        continue;  // chaos: delivery is reliable, only untimely — wait it out
-      }
-      ++state.attempts;
-      ++rank.fault_counters().retries;
-      GNB_INSTANT(obs::span::kRpcRetry, "pull", b, "attempt", state.attempts);
-      rank.rpc().throttle(window.limit());
-      issue(b);  // same logical id: dedup keeps the retry at-most-once
-    }
   }
-  // Flush rt-level stragglers (late duplicate replies of retried pulls) so
-  // no callback capturing this frame survives the phase.
+  // Flush rt-level stragglers (late injected duplicate replies) so no
+  // callback capturing this frame survives the phase.
   rank.rpc().drain();
   if (chaos) {
     react_to_failures();  // a drained straggler may have been a partial reply

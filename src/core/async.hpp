@@ -13,13 +13,14 @@
 // ever in flight toward this rank (proto::RequestWindow).
 //
 // Robustness (exercised by rt::FaultPlan injection, tests/test_fault): each
-// pull carries a stable logical id; pulls that exceed config.proto
-// .rpc_timeout progress-polls are re-issued with bounded exponential
-// backoff (config.proto.max_retries), duplicate replies are dropped by the
-// caller, and duplicate requests are served from a callee-side reply cache
-// — so pull semantics stay at-most-once under delayed, duplicated, or
-// reordered delivery, and the alignment set is byte-identical to a
-// fault-free run.
+// pull is issued once and ends by its reply or by rt::RpcStatus::kPeerDead —
+// the in-process fabric never loses a message, so there is no timeout and
+// no re-issue. A pull to a dead peer is re-routed to the read's new owner.
+// Each pull carries a stable logical id: duplicate replies are dropped by
+// the caller, and duplicate requests are served from a callee-side reply
+// cache — so pull semantics stay at-most-once under delayed, duplicated, or
+// reordered delivery, bytes sent equal bytes received, and the alignment
+// set is byte-identical to a fault-free run.
 
 #include "core/engine.hpp"
 #include "rt/world.hpp"

@@ -22,32 +22,6 @@ constexpr std::uint8_t kEntryCompletion = 1;
 constexpr std::uint8_t kEntryReexecution = 2;
 constexpr std::uint8_t kEntryClaim = 3;
 
-void put_record(Bytes& out, const align::AlignmentRecord& record) {
-  wire::put<std::uint32_t>(out, record.read_a);
-  wire::put<std::uint32_t>(out, record.read_b);
-  wire::put<std::uint32_t>(out, static_cast<std::uint32_t>(record.alignment.score));
-  wire::put<std::uint32_t>(out, record.alignment.a_begin);
-  wire::put<std::uint32_t>(out, record.alignment.a_end);
-  wire::put<std::uint32_t>(out, record.alignment.b_begin);
-  wire::put<std::uint32_t>(out, record.alignment.b_end);
-  wire::put<std::uint8_t>(out, record.alignment.b_reversed ? 1 : 0);
-  wire::put<std::uint64_t>(out, record.alignment.cells);
-}
-
-align::AlignmentRecord get_record(std::span<const std::uint8_t> in, std::size_t& offset) {
-  align::AlignmentRecord record;
-  record.read_a = wire::get<std::uint32_t>(in, offset);
-  record.read_b = wire::get<std::uint32_t>(in, offset);
-  record.alignment.score = static_cast<std::int32_t>(wire::get<std::uint32_t>(in, offset));
-  record.alignment.a_begin = wire::get<std::uint32_t>(in, offset);
-  record.alignment.a_end = wire::get<std::uint32_t>(in, offset);
-  record.alignment.b_begin = wire::get<std::uint32_t>(in, offset);
-  record.alignment.b_end = wire::get<std::uint32_t>(in, offset);
-  record.alignment.b_reversed = wire::get<std::uint8_t>(in, offset) != 0;
-  record.alignment.cells = wire::get<std::uint64_t>(in, offset);
-  return record;
-}
-
 }  // namespace
 
 RecoveryContext::RecoveryContext(rt::Rank& rank, const seq::ReadStore& store,
@@ -60,14 +34,7 @@ RecoveryContext::RecoveryContext(rt::Rank& rank, const seq::ReadStore& store,
   // survivors reconstruct this rank's task list from it.
   Bytes manifest;
   wire::put<std::uint64_t>(manifest, my_tasks_.size());
-  for (const AlignTask& task : my_tasks_) {
-    wire::put<std::uint32_t>(manifest, task.a);
-    wire::put<std::uint32_t>(manifest, task.b);
-    wire::put<std::uint32_t>(manifest, task.seed.a_pos);
-    wire::put<std::uint32_t>(manifest, task.seed.b_pos);
-    wire::put<std::uint16_t>(manifest, task.seed.length);
-    wire::put<std::uint8_t>(manifest, task.seed.b_reversed ? 1 : 0);
-  }
+  for (const AlignTask& task : my_tasks_) kmer::put_task(manifest, task);
   rank_.fault_counters().checkpoint_bytes +=
       rank_.durable().write_manifest(rank_.id(), std::move(manifest));
 }
@@ -88,13 +55,13 @@ void RecoveryContext::append_entry(const LogEntry& entry) {
     case kEntryCompletion:
       wire::put<std::uint32_t>(log_buffer_, entry.index);
       wire::put<std::uint8_t>(log_buffer_, entry.has_record ? 1 : 0);
-      if (entry.has_record) put_record(log_buffer_, entry.record);
+      if (entry.has_record) align::put_record(log_buffer_, entry.record);
       break;
     case kEntryReexecution:
       wire::put<std::uint32_t>(log_buffer_, entry.origin);
       wire::put<std::uint32_t>(log_buffer_, entry.index);
       wire::put<std::uint8_t>(log_buffer_, entry.has_record ? 1 : 0);
-      if (entry.has_record) put_record(log_buffer_, entry.record);
+      if (entry.has_record) align::put_record(log_buffer_, entry.record);
       break;
     case kEntryClaim:
       wire::put<std::uint32_t>(log_buffer_, entry.origin);
@@ -121,13 +88,13 @@ std::vector<RecoveryContext::LogEntry> RecoveryContext::parse_log(std::uint32_t 
       case kEntryCompletion:
         entry.index = wire::get<std::uint32_t>(bytes, offset);
         entry.has_record = wire::get<std::uint8_t>(bytes, offset) != 0;
-        if (entry.has_record) entry.record = get_record(bytes, offset);
+        if (entry.has_record) entry.record = align::get_record(bytes, offset);
         break;
       case kEntryReexecution:
         entry.origin = wire::get<std::uint32_t>(bytes, offset);
         entry.index = wire::get<std::uint32_t>(bytes, offset);
         entry.has_record = wire::get<std::uint8_t>(bytes, offset) != 0;
-        if (entry.has_record) entry.record = get_record(bytes, offset);
+        if (entry.has_record) entry.record = align::get_record(bytes, offset);
         break;
       case kEntryClaim:
         entry.origin = wire::get<std::uint32_t>(bytes, offset);
@@ -146,16 +113,7 @@ std::vector<kmer::AlignTask> RecoveryContext::parse_manifest(const rt::Bytes& ma
   std::size_t offset = 0;
   const auto count = wire::get<std::uint64_t>(manifest, offset);
   tasks.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    AlignTask task;
-    task.a = wire::get<std::uint32_t>(manifest, offset);
-    task.b = wire::get<std::uint32_t>(manifest, offset);
-    task.seed.a_pos = wire::get<std::uint32_t>(manifest, offset);
-    task.seed.b_pos = wire::get<std::uint32_t>(manifest, offset);
-    task.seed.length = wire::get<std::uint16_t>(manifest, offset);
-    task.seed.b_reversed = wire::get<std::uint8_t>(manifest, offset) != 0;
-    tasks.push_back(task);
-  }
+  for (std::uint64_t i = 0; i < count; ++i) tasks.push_back(kmer::get_task(manifest, offset));
   return tasks;
 }
 

@@ -5,8 +5,29 @@
 
 #include "kmer/counter.hpp"
 #include "util/error.hpp"
+#include "util/wire.hpp"
 
 namespace gnb::kmer {
+
+void put_task(std::vector<std::uint8_t>& out, const AlignTask& task) {
+  wire::put<std::uint32_t>(out, task.a);
+  wire::put<std::uint32_t>(out, task.b);
+  wire::put<std::uint32_t>(out, task.seed.a_pos);
+  wire::put<std::uint32_t>(out, task.seed.b_pos);
+  wire::put<std::uint16_t>(out, task.seed.length);
+  wire::put<std::uint8_t>(out, task.seed.b_reversed ? 1 : 0);
+}
+
+AlignTask get_task(std::span<const std::uint8_t> in, std::size_t& offset) {
+  AlignTask task;
+  task.a = wire::get<std::uint32_t>(in, offset);
+  task.b = wire::get<std::uint32_t>(in, offset);
+  task.seed.a_pos = wire::get<std::uint32_t>(in, offset);
+  task.seed.b_pos = wire::get<std::uint32_t>(in, offset);
+  task.seed.length = wire::get<std::uint16_t>(in, offset);
+  task.seed.b_reversed = wire::get<std::uint8_t>(in, offset) != 0;
+  return task;
+}
 
 bool seed_less(const align::Seed& x, const align::Seed& y) {
   return std::tie(x.a_pos, x.b_pos, x.b_reversed) < std::tie(y.a_pos, y.b_pos, y.b_reversed);

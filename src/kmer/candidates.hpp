@@ -7,6 +7,7 @@
 // experimental setup, exactly one seed is kept per candidate pair.
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -25,6 +26,13 @@ struct AlignTask {
   seq::ReadId b = seq::kInvalidRead;
   align::Seed seed;
 };
+
+/// The one byte layout of a task on the wire and in durable storage (task
+/// redistribution, checkpoints, recovery manifests), little-endian: a, b,
+/// seed a_pos, b_pos as u32, seed length as u16, b_reversed as u8 — 19
+/// bytes. get_task throws gnb::Error on a truncated buffer.
+void put_task(std::vector<std::uint8_t>& out, const AlignTask& task);
+AlignTask get_task(std::span<const std::uint8_t> in, std::size_t& offset);
 
 using KmerSet = std::unordered_set<Kmer, KmerHash>;
 

@@ -64,11 +64,9 @@ inline constexpr const char* kStagePartition = "stage.partition";
 inline constexpr const char* kStageKmerFilter = "stage.kmer_filter";
 inline constexpr const char* kStageTaskAssign = "stage.task_assign";
 
-// Instant events (faults, retries, deaths).
+// Instant events (faults, deaths).
 inline constexpr const char* kFaultCrash = "fault.crash";
 inline constexpr const char* kFaultStraggle = "fault.straggle";
-inline constexpr const char* kRpcRetry = "rpc.retry";
-inline constexpr const char* kRpcTimeout = "rpc.timeout";
 inline constexpr const char* kRpcPeerDeath = "rpc.peer_death";
 inline constexpr const char* kRecoveryReexec = "recovery.reexec";
 

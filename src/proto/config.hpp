@@ -99,18 +99,6 @@ struct ProtoConfig {
   /// necessary", paper §5). 1 = the paper's one-RPC-per-read design.
   std::size_t async_batch = 1;
 
-  /// Async: progress() polls without a reply before a pull is re-issued
-  /// (the timeout doubles per attempt — bounded exponential backoff). The
-  /// engine-level dedup protocol keeps retries safe: duplicate replies are
-  /// dropped by the caller and duplicate requests are served from the
-  /// callee's reply cache, so at-most-once pull semantics survive both
-  /// injected duplicates and spurious retries. 0 disables retries.
-  std::uint64_t rpc_timeout = 1 << 14;
-
-  /// Async: maximum re-issues per pull. Once exhausted the caller keeps
-  /// polling (delivery is reliable, only untimely) and counts the timeout.
-  std::size_t max_retries = 3;
-
   /// Intra-rank compute workers (core::AlignPool): alignment-task batches
   /// are drained by this many threads while BSP continues its exchange
   /// rounds and async continues issuing pulls — the paper's "overlap

@@ -13,15 +13,15 @@
 // the endpoint then tolerates duplicate replies (dropped and counted as
 // orphans) instead of treating them as protocol violations, and the
 // *engines* are responsible for at-most-once application semantics (see
-// core::async_align's retry/dedup protocol).
+// core::async_align's dedup protocol).
 //
 // Peer death is a first-class outcome, not a hang: when rt::World kills a
 // rank it marks the victim's endpoint dead and posts a death notice to
 // every surviving endpoint. The next progress() on a survivor fails all
 // in-flight requests to the dead peer with RpcStatus::kPeerDead — callers
-// learn about the loss in one poll instead of timing out through the full
-// backoff ladder — and new call()s to a dead peer fail the same way on the
-// caller's next progress(). Replies owed to a dead peer are dropped.
+// learn about the loss in one poll — and new call()s to a dead peer fail
+// the same way on the caller's next progress(). Replies owed to a dead peer
+// are dropped.
 
 #include <atomic>
 #include <cstdint>

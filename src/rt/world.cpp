@@ -409,10 +409,15 @@ void World::set_faults(const FaultPlan& plan) {
     GNB_THROW_IF(event.rank >= nranks_,
                  "faults: restart names rank " << event.rank << " but the world has only "
                                                << nranks_ << " ranks");
-  for (const CorruptEvent& event : plan.corrupts)
+  for (const CorruptEvent& event : plan.corrupts) {
     GNB_THROW_IF(event.rank >= nranks_,
                  "faults: corrupt names rank " << event.rank << " but the world has only "
                                                << nranks_ << " ranks");
+    const bool written =
+        event.kind == DurableStore::kKindManifest || event.kind == DurableStore::kKindLogRecord;
+    GNB_THROW_IF(!written,
+                 "faults: corrupt kind " << event.kind << " is not 1 (manifest) or 2 (log)");
+  }
   injector_ = plan.enabled() ? std::make_unique<FaultInjector>(plan) : nullptr;
   for (auto& endpoint : endpoints_) endpoint->set_fault_injector(injector_.get());
   durable_.set_injector(injector_.get());

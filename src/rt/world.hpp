@@ -180,8 +180,8 @@ class Rank {
   // --- instrumentation ---
   PhaseTimers& timers() { return timers_; }
   MemoryMeter& memory() { return memory_; }
-  /// Robustness counters this rank's engine protocol accumulates (retries,
-  /// timeouts, duplicates dropped, checksum failures, recovery work);
+  /// Robustness counters this rank's engine protocol accumulates
+  /// (duplicates dropped, checksum failures, recovery work);
   /// merged with the endpoint-level counters into the rank's
   /// stat::Breakdown.
   stat::FaultCounters& fault_counters() { return fault_counters_; }
@@ -257,8 +257,10 @@ class World {
   [[nodiscard]] const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   /// Install a fault plan for subsequent run()s (chaos testing). A disabled
-  /// plan clears injection. Crash events must name ranks < nranks. Must not
-  /// be called while a run is in flight.
+  /// plan clears injection. Events must name ranks < nranks, and corrupt
+  /// events a record kind the DurableStore writes (manifest or log record);
+  /// anything else throws gnb::Error. Must not be called while a run is in
+  /// flight.
   void set_faults(const FaultPlan& plan);
 
   /// Heartbeat/lease for the per-endpoint failure detector, in progress()

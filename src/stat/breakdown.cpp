@@ -13,13 +13,12 @@ namespace gnb::stat {
 
 std::span<const FaultCounters::Field> FaultCounters::fields() {
   static constexpr Field kFields[] = {
-      {"retries", "retries", 1.0, true, &FaultCounters::retries},
-      {"timeouts", "timeouts", 1.0, true, &FaultCounters::timeouts},
+      {"retries", nullptr, 1.0, true, &FaultCounters::retries},
+      {"timeouts", nullptr, 1.0, true, &FaultCounters::timeouts},
       {"duplicates", "duplicates", 1.0, true, &FaultCounters::duplicates},
       {"checksum_failures", "checksum_fail", 1.0, true, &FaultCounters::checksum_failures},
       {"crashes", "crashes", 1.0, true, &FaultCounters::crashes},
       {"rpc_failures", "rpc_fail", 1.0, true, &FaultCounters::rpc_failures},
-      {"retry_exhausted", nullptr, 1.0, true, &FaultCounters::retry_exhausted},
       {"tasks_reexecuted", "reexec", 1.0, true, &FaultCounters::tasks_reexecuted},
       {"checkpoint_bytes", "ckpt_kb", 1e-3, false, &FaultCounters::checkpoint_bytes},
       {"suspected", "suspected", 1.0, true, &FaultCounters::suspected},

@@ -21,19 +21,22 @@ class MetricsRegistry;
 namespace gnb::stat {
 
 /// Robustness counters, filled per rank by the runtime and the engines
-/// (retry/dedup protocol, BSP payload verification). All-zero in a healthy
+/// (dedup protocol, BSP payload verification). All-zero in a healthy
 /// fault-free run; nonzero under rt::FaultPlan injection — the observable
 /// evidence that the hardening actually fired.
 struct FaultCounters {
-  std::uint64_t retries = 0;            // pull RPCs re-issued after a timeout
-  std::uint64_t timeouts = 0;           // timeout events observed by the caller
+  // Async pulls are issued once and end by their reply or by peer death, so
+  // nothing increments these two. They are not printed, but stay exported
+  // (always 0) because metric consumers still read fault.retries and
+  // fault.timeouts.
+  std::uint64_t retries = 0;
+  std::uint64_t timeouts = 0;
   std::uint64_t duplicates = 0;         // duplicate deliveries/replies detected
   std::uint64_t checksum_failures = 0;  // BSP round payloads failing verification
 
   // Recovery counters (crash faults; see core::RecoveryContext).
   std::uint64_t crashes = 0;            // rank deaths this rank observed and recovered from
   std::uint64_t rpc_failures = 0;       // in-flight pulls failed fast on peer death
-  std::uint64_t retry_exhausted = 0;    // pulls whose bounded retry budget ran out
   std::uint64_t tasks_reexecuted = 0;   // lost tasks this rank re-executed for dead peers
   std::uint64_t checkpoint_bytes = 0;   // bytes written to stable storage (manifests + logs)
 
@@ -48,7 +51,7 @@ struct FaultCounters {
   double recovery_seconds = 0;             // wall time spent inside the recovery protocol
 
   /// The single source of truth for the integer counters: metric name,
-  /// optional table column (nullptr = not printed, e.g. retry_exhausted),
+  /// optional table column (nullptr = not printed),
   /// column scale factor, whether the counter indicates fault activity
   /// (any()), and the member it describes. merge(), any(), the fault
   /// tables, and the obs metrics export all iterate this array — a counter

@@ -23,8 +23,8 @@ class Error : public std::runtime_error {
 
 /// Base of the typed RPC failures the runtime surfaces instead of aborting:
 /// callers that opted into the legacy `void(Bytes)` callback (no status
-/// channel) receive peer-death and retry-exhaustion as exceptions they can
-/// catch, rather than a GNB_CHECK abort.
+/// channel) receive peer death as an exception they can catch, rather than
+/// a GNB_CHECK abort.
 class RpcError : public Error {
  public:
   explicit RpcError(const std::string& what) : Error(what) {}
@@ -36,14 +36,6 @@ class RpcPeerDeadError : public RpcError {
   RpcPeerDeadError(const std::string& what, std::uint32_t peer_rank)
       : RpcError(what), peer(peer_rank) {}
   std::uint32_t peer;
-};
-
-/// A pull exhausted its retry budget with the peer still unresponsive (and
-/// not known dead) — the fail-fast path when no fault injector explains the
-/// silence.
-class RpcRetriesExhaustedError : public RpcError {
- public:
-  explicit RpcRetriesExhaustedError(const std::string& what) : RpcError(what) {}
 };
 
 /// The recovery fixpoint exceeded its configured attempt budget

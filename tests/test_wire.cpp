@@ -33,6 +33,7 @@
 #include "sim/assignment.hpp"
 #include "sim/machine.hpp"
 #include "sim/perf_model.hpp"
+#include "stat/breakdown.hpp"
 #include "util/rng.hpp"
 #include "wl/presets.hpp"
 
@@ -237,6 +238,7 @@ struct RunTotals {
   std::uint64_t raw = 0;
   std::uint64_t messages = 0;
   std::uint64_t rounds = 0;
+  stat::FaultCounters faults;  // summed over ranks
 };
 
 RunTotals run_engine(bool async_mode, std::size_t nranks, const core::EngineConfig& config,
@@ -263,6 +265,7 @@ RunTotals run_engine(bool async_mode, std::size_t nranks, const core::EngineConf
     totals.rounds = std::max(totals.rounds, result.rounds);
   }
   totals.accepted = sorted(std::move(totals.accepted));
+  totals.faults = stat::summarize(world.breakdowns()).faults;
   return totals;
 }
 
@@ -298,6 +301,10 @@ TEST(WireBytes, ConservationAndOutputIdentityAcrossModes) {
         EXPECT_EQ(run.sent, run.received)
             << (async_mode ? "async" : "bsp") << " ranks " << nranks << " mode "
             << proto::to_string(mode);
+        // A fault-free run never re-issues, times out or sees a duplicate.
+        EXPECT_EQ(run.faults.retries, 0u);
+        EXPECT_EQ(run.faults.timeouts, 0u);
+        EXPECT_EQ(run.faults.duplicates, 0u);
         if (nranks > 1) EXPECT_GT(run.received, 0u);
       }
       const RunTotals& off = per_mode.front();
