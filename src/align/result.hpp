@@ -67,7 +67,7 @@ struct AlignmentRecord {
 };
 
 /// The one byte layout of a record on the wire and in durable storage
-/// (checkpoints, recovery logs, assembly manifests), little-endian:
+/// (recovery logs, assembly manifests), little-endian:
 /// read_a, read_b, score, a_begin, a_end, b_begin, b_end as u32, b_reversed
 /// as u8, cells as u64 — 37 bytes. get_record throws gnb::Error on a
 /// truncated buffer.

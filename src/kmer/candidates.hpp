@@ -28,7 +28,7 @@ struct AlignTask {
 };
 
 /// The one byte layout of a task on the wire and in durable storage (task
-/// redistribution, checkpoints, recovery manifests), little-endian: a, b,
+/// redistribution, recovery manifests), little-endian: a, b,
 /// seed a_pos, b_pos as u32, seed length as u16, b_reversed as u8 — 19
 /// bytes. get_task throws gnb::Error on a truncated buffer.
 void put_task(std::vector<std::uint8_t>& out, const AlignTask& task);

@@ -46,10 +46,8 @@ inline constexpr const char* kComputeBatch = "compute.batch";
 inline constexpr const char* kWireCompress = "wire.compress";
 inline constexpr const char* kWireDecompress = "wire.decompress";
 
-// Recovery and checkpointing.
+// Recovery.
 inline constexpr const char* kRecovery = "recovery.recover";
-inline constexpr const char* kCkptSave = "ckpt.save";
-inline constexpr const char* kCkptLoad = "ckpt.load";
 
 // Distributed graph phases (string graph build, transitive reduction,
 // contig extraction) — emitted by pipeline::run_distributed_assembly and,

@@ -22,8 +22,7 @@
 //     the healing is observable, never silent.
 //
 // The payloads are opaque to the runtime; core::RecoveryContext defines the
-// entry encoding and pipeline-level checkpoints use real files instead
-// (pipeline/checkpoint.hpp). Corruption is injected at write time through
+// entry encoding. Corruption is injected at write time through
 // the optional rt::FaultInjector hook (corrupt@RANK:KIND:SEQ events; kind 1
 // = manifest, kind 2 = log record), mutating the *framed* bytes so the
 // fingerprint genuinely mismatches on load.

@@ -75,9 +75,9 @@ struct RestartEvent {
 
 /// One scheduled durable-record corruption: the `seq`-th record of kind
 /// `kind` written by rank `rank` is bit-flipped (or truncated, hashed from
-/// the identity) at write time. Kinds 1..5 match the pipeline checkpoint
-/// kinds; for rt::DurableStore, kind 1 = manifest, kind 2 = log record
-/// (World::set_faults rejects any other kind).
+/// the identity) at write time. Kinds name rt::DurableStore records:
+/// kind 1 = manifest, kind 2 = log record (World::set_faults rejects any
+/// other kind).
 struct CorruptEvent {
   std::uint32_t rank = 0;
   std::uint32_t kind = 0;

@@ -207,6 +207,17 @@ void RpcEndpoint::run_detector() {
   }
 }
 
+void RpcEndpoint::clear_live_suspicions() {
+  for (std::uint32_t p = 0; p < peer_health_.size(); ++p) {
+    PeerHealth& health = peer_health_[p];
+    if (!health.suspected || !(*peers_)[p]->is_alive()) continue;
+    health.suspected = false;
+    health.heard_at = progress_ticks();  // a fresh lease from the barrier
+    ++false_suspicions_;
+    GNB_INSTANT(obs::span::kDetectorClear, "peer", p);
+  }
+}
+
 void RpcEndpoint::fail_pending_to(std::uint32_t dead, std::vector<Pending>& failed) {
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (it->second.target == dead) {

@@ -100,9 +100,9 @@ class RpcEndpoint {
   /// heartbeat: every peer samples it during its own progress(), and a peer
   /// whose tick stops advancing for longer than the lease is *suspected* —
   /// quarantined observationally (counted, traced) until either a death
-  /// notice confirms the loss or the tick moves again and the suspicion is
-  /// cleared as false (the partitioned-but-alive case). Readable from any
-  /// thread.
+  /// notice confirms the loss, or the tick moves again or an exit barrier
+  /// completes and the suspicion is cleared as false (the
+  /// partitioned-but-alive case). Readable from any thread.
   [[nodiscard]] std::uint64_t progress_ticks() const {
     return progress_epoch_.load(std::memory_order_relaxed);
   }
@@ -110,6 +110,11 @@ class RpcEndpoint {
   /// also only runs when a fault injector is installed, so healthy runs pay
   /// nothing).
   void set_detector_lease(std::uint64_t ticks) { lease_ticks_ = ticks; }
+  /// Close every open suspicion of a still-alive peer as a false one.
+  /// Called when an exit barrier completes: every live rank arrived at it,
+  /// and barriers do not travel over the RPC links a partition cuts.
+  /// Owner thread only.
+  void clear_live_suspicions();
   /// Peers currently suspected by this endpoint's detector.
   [[nodiscard]] std::size_t suspected_now() const {
     std::size_t n = 0;

@@ -393,6 +393,7 @@ void Rank::service_barrier() {
   GNB_SPAN(obs::span::kCollServiceBarrier);
   split_barrier_arrive();
   split_barrier_wait();
+  rpc().clear_live_suspicions();
 }
 
 void World::set_faults(const FaultPlan& plan) {

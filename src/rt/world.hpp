@@ -139,7 +139,8 @@ class Rank {
   /// Exit barrier for asynchronous phases: arrive, then keep serving RPC
   /// progress until every alive rank has arrived (the paper's "single exit
   /// barrier ensures the partitioned reads remain available to all
-  /// parallel processors until all tasks are complete").
+  /// parallel processors until all tasks are complete"). On completion,
+  /// open detector suspicions of live peers close as false ones.
   void service_barrier();
 
   // --- failure detection ---

@@ -45,7 +45,7 @@ inline constexpr std::size_t kChecksumBytes = sizeof(std::uint64_t);
 /// Reserve a checksum header at the start of `out` (call before packing the
 /// payload), to be filled by seal_checksum once the payload is complete.
 inline void begin_checksum(std::vector<std::uint8_t>& out) {
-  out.insert(out.end(), kChecksumBytes, 0);
+  out.resize(out.size() + kChecksumBytes);
 }
 
 /// Overwrite the header written by begin_checksum with the checksum of

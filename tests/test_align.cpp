@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "align/affine.hpp"
 #include "align/banded.hpp"
@@ -15,6 +19,7 @@
 #include "align/overlap.hpp"
 #include "align/paf.hpp"
 #include "align/protein.hpp"
+#include "align/result.hpp"
 #include "align/xdrop.hpp"
 #include "seq/read_store.hpp"
 #include "seq/sequence.hpp"
@@ -454,6 +459,47 @@ TEST(Filter, ThresholdsAreInclusive) {
   alignment.a_end = 49;
   alignment.b_end = 48;  // overlap length (49+48)/2 = 48 < 50
   EXPECT_FALSE(filter.accepts(alignment));
+}
+
+// ---------- record byte layout ----------
+
+TEST(RecordLayout, RoundTripsMaximumFieldsAndBothStrands) {
+  AlignmentRecord forward{2, 9, make_alignment(10, 400, 20, 410)};
+  forward.alignment.score = -5;  // stored as u32, read back signed
+  forward.alignment.cells = 123'456;
+  AlignmentRecord extreme{0xFFFFFFFEu, 0xFFFFFFFFu,
+                          make_alignment(0xFFFFFFF0u, 0xFFFFFFFFu, 0xFFFFFFF1u, 0xFFFFFFFFu)};
+  extreme.alignment.score = std::numeric_limits<std::int32_t>::max();
+  extreme.alignment.b_reversed = true;
+  extreme.alignment.cells = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::uint8_t> bytes;
+  put_record(bytes, forward);
+  put_record(bytes, extreme);
+  ASSERT_EQ(bytes.size(), 2u * 37u);  // the documented 37-byte layout
+  std::size_t offset = 0;
+  for (const AlignmentRecord& want : {forward, extreme}) {
+    const AlignmentRecord got = get_record(bytes, offset);
+    EXPECT_EQ(got.read_a, want.read_a);
+    EXPECT_EQ(got.read_b, want.read_b);
+    EXPECT_EQ(got.alignment.score, want.alignment.score);
+    EXPECT_EQ(got.alignment.a_begin, want.alignment.a_begin);
+    EXPECT_EQ(got.alignment.a_end, want.alignment.a_end);
+    EXPECT_EQ(got.alignment.b_begin, want.alignment.b_begin);
+    EXPECT_EQ(got.alignment.b_end, want.alignment.b_end);
+    EXPECT_EQ(got.alignment.b_reversed, want.alignment.b_reversed);
+    EXPECT_EQ(got.alignment.cells, want.alignment.cells);
+  }
+  EXPECT_EQ(offset, bytes.size());
+}
+
+TEST(RecordLayout, TruncatedBufferThrows) {
+  std::vector<std::uint8_t> bytes;
+  put_record(bytes, AlignmentRecord{1, 2, make_alignment(0, 100, 0, 100)});
+  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
+    const std::span<const std::uint8_t> cut(bytes.data(), keep);
+    std::size_t offset = 0;
+    EXPECT_THROW((void)get_record(cut, offset), Error) << "kept " << keep << " bytes";
+  }
 }
 
 // ---------- protein ----------

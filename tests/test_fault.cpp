@@ -445,7 +445,9 @@ TEST(Chaos, ComputeThreadsStayByteIdenticalUnderInjection) {
       expect_identical(chaos, clean);
       // BSP has no RPCs for the injector to duplicate; only the async
       // engine is expected to observe fault events in its counters.
-      if (async_mode) EXPECT_TRUE(chaos.faults.any());
+      if (async_mode) {
+        EXPECT_TRUE(chaos.faults.any());
+      }
     }
   }
 }

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "kmer/bella_filter.hpp"
 #include "kmer/candidates.hpp"
@@ -12,6 +15,7 @@
 #include "kmer/extract.hpp"
 #include "kmer/kmer.hpp"
 #include "kmer/minimizer.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 using namespace gnb;
@@ -20,7 +24,8 @@ using namespace gnb::kmer;
 namespace {
 
 seq::Read make_read(seq::ReadId id, const std::string& bases) {
-  return seq::Read{id, "r" + std::to_string(id), seq::Sequence::from_string(bases)};
+  return seq::Read{id, std::string("r").append(std::to_string(id)),
+                   seq::Sequence::from_string(bases)};
 }
 
 Kmer kmer_of(const std::string& bases) {
@@ -349,6 +354,39 @@ TEST(Candidates, DeterministicSeedChoice) {
     EXPECT_EQ(t1[i].seed.a_pos, t2[i].seed.a_pos);
     EXPECT_EQ(t1[i].seed.b_pos, t2[i].seed.b_pos);
     EXPECT_EQ(t1[i].seed.b_reversed, t2[i].seed.b_reversed);
+  }
+}
+
+// ---------- task byte layout ----------
+
+TEST(TaskLayout, RoundTripsMaximumFieldsAndBothStrands) {
+  const AlignTask forward{3, 7, align::Seed{11, 13, 17, false}};
+  const AlignTask extreme{0xFFFFFFFEu, 0xFFFFFFFFu,
+                          align::Seed{0xFFFFFFFFu, 0xFFFFFFFFu, 0xFFFF, true}};
+  std::vector<std::uint8_t> bytes;
+  put_task(bytes, forward);
+  put_task(bytes, extreme);
+  ASSERT_EQ(bytes.size(), 2u * 19u);  // the documented 19-byte layout
+  std::size_t offset = 0;
+  for (const AlignTask& want : {forward, extreme}) {
+    const AlignTask got = get_task(bytes, offset);
+    EXPECT_EQ(got.a, want.a);
+    EXPECT_EQ(got.b, want.b);
+    EXPECT_EQ(got.seed.a_pos, want.seed.a_pos);
+    EXPECT_EQ(got.seed.b_pos, want.seed.b_pos);
+    EXPECT_EQ(got.seed.length, want.seed.length);
+    EXPECT_EQ(got.seed.b_reversed, want.seed.b_reversed);
+  }
+  EXPECT_EQ(offset, bytes.size());
+}
+
+TEST(TaskLayout, TruncatedBufferThrows) {
+  std::vector<std::uint8_t> bytes;
+  put_task(bytes, AlignTask{1, 2, align::Seed{3, 4, 5, true}});
+  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
+    const std::span<const std::uint8_t> cut(bytes.data(), keep);
+    std::size_t offset = 0;
+    EXPECT_THROW((void)get_task(cut, offset), Error) << "kept " << keep << " bytes";
   }
 }
 

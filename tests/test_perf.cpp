@@ -111,9 +111,9 @@ std::string straggler_trace() {
   return f.json();
 }
 
-/// Crash/rejoin shape: rank 0 loses time to recovery (checkpoint reload
-/// nested inside recovery.recover) before the barrier; the dominant span
-/// of the critical segment must be the recovery, categorized kRecovery.
+/// Crash/rejoin shape: rank 0 loses time to recovery before the barrier;
+/// the dominant span of the critical segment must be the recovery,
+/// categorized kRecovery.
 std::string recovery_trace() {
   TraceFixture f;
   for (std::uint32_t r = 1; r <= 2; ++r) {
@@ -123,7 +123,6 @@ std::string recovery_trace() {
   f.span(1, 0, obs::span::kBspRound, 0, 31'000);
   f.span(1, 0, obs::span::kBspLocalTasks, 0, 10'000);
   f.span(1, 0, obs::span::kRecovery, 10'000, 30'000);
-  f.span(1, 0, obs::span::kCkptLoad, 12'000, 20'000);
   f.span(1, 0, obs::span::kCollBarrier, 30'000, 31'000);
   f.instant(1, 0, obs::span::kFaultCrash, 10'000);
   f.instant(1, 0, obs::span::kRejoinAdmit, 30'000);

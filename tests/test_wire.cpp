@@ -305,7 +305,9 @@ TEST(WireBytes, ConservationAndOutputIdentityAcrossModes) {
         EXPECT_EQ(run.faults.retries, 0u);
         EXPECT_EQ(run.faults.timeouts, 0u);
         EXPECT_EQ(run.faults.duplicates, 0u);
-        if (nranks > 1) EXPECT_GT(run.received, 0u);
+        if (nranks > 1) {
+          EXPECT_GT(run.received, 0u);
+        }
       }
       const RunTotals& off = per_mode.front();
       for (std::size_t m = 1; m < per_mode.size(); ++m) {
