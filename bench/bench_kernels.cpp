@@ -169,6 +169,8 @@ void BM_AffineSmithWaterman(benchmark::State& state) {
 }
 BENCHMARK(BM_AffineSmithWaterman);
 
+// Arg 0 runs the fixed band 200; arg 1 runs the band consensus correction
+// uses for this window (correct::CorrectionParams: 32 + 0.25 * window).
 void BM_BandedTraceback(benchmark::State& state) {
   const BenchData& d = data();
   if (d.a_true.empty()) {
@@ -181,15 +183,23 @@ void BM_BandedTraceback(benchmark::State& state) {
       1'500, std::min(d.a_true.size(), d.b_true.size()));
   const std::span<const std::uint8_t> a(d.a_true.data(), window);
   const std::span<const std::uint8_t> b(d.b_true.data(), window);
+  const std::size_t band = state.range(0) == 0 ? 200 : 32 + window / 4;
+  align::TracebackScratch scratch;  // reused across calls, as a correction worker does
+  std::uint64_t cells = 0;
   for (auto _ : state) {
-    const auto result = align::banded_global_traceback(a, b, 200);
+    const auto result =
+        align::banded_global_traceback(a, b, band, align::kDefaultScoring, scratch);
     benchmark::DoNotOptimize(result.score);
+    cells += result.cells;
   }
+  state.SetLabel("band " + std::to_string(band));
   state.counters["bases/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * static_cast<double>(window),
       benchmark::Counter::kIsRate);
+  state.counters["cells/s"] =
+      benchmark::Counter(static_cast<double>(cells), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_BandedTraceback);
+BENCHMARK(BM_BandedTraceback)->Arg(0)->Arg(1);
 
 void BM_MinimizerExtraction(benchmark::State& state) {
   const BenchData& d = data();

@@ -1,6 +1,7 @@
 #include "align/cigar.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <sstream>
 
@@ -11,7 +12,8 @@ namespace gnb::align {
 namespace {
 constexpr std::int32_t kNegInf = std::numeric_limits<std::int32_t>::min() / 4;
 
-enum Dir : std::uint8_t { kDiag = 0, kUp = 1, kLeft = 2, kNone = 3 };
+// 2-bit traceback directions; kNone = 0 marks a cell the DP never wrote.
+enum Dir : std::uint8_t { kNone = 0, kDiag = 1, kUp = 2, kLeft = 3 };
 }  // namespace
 
 char cigar_char(CigarOp op) {
@@ -86,61 +88,97 @@ bool cigar_consistent(const Cigar& cigar, std::span<const std::uint8_t> a,
 TracebackResult banded_global_traceback(std::span<const std::uint8_t> a,
                                         std::span<const std::uint8_t> b, std::size_t band,
                                         const Scoring& scoring) {
+  TracebackScratch scratch;
+  return banded_global_traceback(a, b, band, scoring, scratch);
+}
+
+// Row i covers columns [lo, hi] = [max(0, i-band), min(nb, i+band)]. For
+// j >= 1 the diagonal predecessor (i-1, j-1) is always inside row i-1's
+// band, so by induction every in-band cell holds a finite score. The only
+// reads that can fall outside the band are curr[lo-1] (left of the first
+// cell) and prev[i+band] (above the last cell when i+band <= nb); both get
+// a kNegInf sentinel, which loses every strict comparison against the
+// finite diagonal. That keeps the tie order (diag, then up, then left,
+// each only if strictly better) without any per-cell validity test.
+TracebackResult banded_global_traceback(std::span<const std::uint8_t> a,
+                                        std::span<const std::uint8_t> b, std::size_t band,
+                                        const Scoring& scoring, TracebackScratch& scratch) {
   const std::size_t na = a.size();
   const std::size_t nb = b.size();
   const std::size_t diff = na > nb ? na - nb : nb - na;
   GNB_THROW_IF(diff > band, "banded traceback: band " << band << " narrower than length "
                                                       << "difference " << diff);
-  const std::size_t width = 2 * band + 1;
+  // A band wider than the longer side covers the whole matrix either way.
+  band = std::min(band, std::max(na, nb));
+  const std::size_t row_bytes = (2 * band + 1 + 3) / 4;
 
   TracebackResult result;
-  // Direction matrix: row i stores columns j in [i-band, i+band] at offset
-  // j - i + band.
-  std::vector<std::uint8_t> dir((na + 1) * width, kNone);
-  const auto dir_at = [&](std::size_t i, std::size_t j) -> std::uint8_t& {
-    return dir[i * width + (j + band - i)];
+  // Row i stores column j at 2-bit slot j - i + band of its row_bytes.
+  scratch.dir.assign((na + 1) * row_bytes, 0);
+  std::uint8_t* const dir = scratch.dir.data();
+  const auto put = [&](std::size_t i, std::size_t j, std::uint8_t direction) {
+    const std::size_t slot = j + band - i;
+    dir[i * row_bytes + slot / 4] |= static_cast<std::uint8_t>(direction << (slot % 4 * 2));
+  };
+  const auto get = [&](std::size_t i, std::size_t j) -> std::uint8_t {
+    const std::size_t slot = j + band - i;
+    return (dir[i * row_bytes + slot / 4] >> (slot % 4 * 2)) & 3;
   };
 
-  std::vector<std::int32_t> prev(nb + 1, kNegInf), curr(nb + 1, kNegInf);
+  // No fill: every read outside the band hits a sentinel (see above).
+  scratch.prev.resize(nb + 1);
+  scratch.curr.resize(nb + 1);
+  const std::int32_t gap = scoring.gap;
+  std::int32_t* prev = scratch.prev.data();
+  std::int32_t* curr = scratch.curr.data();
   for (std::size_t j = 0; j <= std::min(band, nb); ++j) {
-    prev[j] = static_cast<std::int32_t>(j) * scoring.gap;
-    dir_at(0, j) = j == 0 ? kNone : kLeft;
+    prev[j] = static_cast<std::int32_t>(j) * gap;
+    if (j != 0) put(0, j, kLeft);
   }
 
   for (std::size_t i = 1; i <= na; ++i) {
     const std::size_t lo = i > band ? i - band : 0;
     const std::size_t hi = std::min(nb, i + band);
-    std::fill(curr.begin(), curr.end(), kNegInf);
-    for (std::size_t j = lo; j <= hi; ++j) {
-      if (j == 0) {
-        curr[0] = static_cast<std::int32_t>(i) * scoring.gap;
-        dir_at(i, 0) = kUp;
-        ++result.cells;
-        continue;
-      }
-      std::int32_t best = kNegInf;
-      std::uint8_t direction = kNone;
-      // Diagonal is valid when (i-1, j-1) was inside the band.
-      if (prev[j - 1] > kNegInf) {
-        best = prev[j - 1] + scoring.substitution(a[i - 1], b[j - 1]);
-        direction = kDiag;
-      }
-      if (j <= i + band - 1 && prev[j] > kNegInf) {  // (i-1, j) in band
-        if (const std::int32_t up = prev[j] + scoring.gap; up > best) {
-          best = up;
-          direction = kUp;
-        }
-      }
-      if (curr[j - 1] > kNegInf) {
-        if (const std::int32_t left = curr[j - 1] + scoring.gap; left > best) {
-          best = left;
-          direction = kLeft;
-        }
-      }
-      curr[j] = best;
-      dir_at(i, j) = direction;
-      ++result.cells;
+    std::size_t j = lo;
+    if (lo == 0) {
+      curr[0] = static_cast<std::int32_t>(i) * gap;
+      put(i, 0, kUp);
+      j = 1;
+    } else {
+      curr[lo - 1] = kNegInf;
     }
+    if (i + band <= nb) prev[i + band] = kNegInf;
+    result.cells += hi - lo + 1;
+
+    // Substitution scores of a[i-1] against each code, and the 2-bit
+    // directions gathered four to a byte before they are stored.
+    std::array<std::int32_t, 5> sub{};
+    for (std::uint8_t code = 0; code < 5; ++code)
+      sub[code] = scoring.substitution(a[i - 1], code);
+    std::size_t slot = j + band - i;
+    std::uint8_t* out = dir + i * row_bytes + slot / 4;
+    unsigned packed = *out;
+    unsigned shift = slot % 4 * 2;
+    std::int32_t left = curr[j - 1];
+    for (; j <= hi; ++j) {
+      // Branch-free select in the tie order: diag; up if strictly better;
+      // left if strictly better than both.
+      const std::int32_t diag = prev[j - 1] + sub[b[j - 1]];
+      const std::int32_t up = prev[j] + gap;
+      const unsigned take_up = up > diag;
+      const std::int32_t vertical = std::max(diag, up);
+      left += gap;
+      const unsigned take_left = left > vertical;
+      left = std::max(vertical, left);
+      curr[j] = left;
+      packed |= ((kDiag + take_up) | take_left * kLeft) << shift;
+      shift += 2;
+      if (shift == 8) {
+        *out++ = static_cast<std::uint8_t>(packed);
+        packed = shift = 0;
+      }
+    }
+    if (shift != 0) *out = static_cast<std::uint8_t>(packed);
     std::swap(prev, curr);
   }
   result.score = prev[nb];
@@ -156,7 +194,7 @@ TracebackResult banded_global_traceback(std::span<const std::uint8_t> a,
   };
   std::size_t i = na, j = nb;
   while (i != 0 || j != 0) {
-    const std::uint8_t direction = dir_at(i, j);
+    const std::uint8_t direction = get(i, j);
     GNB_CHECK_MSG(direction != kNone, "traceback escaped the band at (" << i << "," << j << ")");
     switch (direction) {
       case kDiag: {

@@ -55,11 +55,22 @@ struct TracebackResult {
   std::uint64_t cells = 0;
 };
 
+/// Working memory of banded_global_traceback: two score rows and the
+/// 2-bit direction matrix. A caller that aligns many pairs keeps one per
+/// thread; the buffers grow to the largest call and are reused.
+struct TracebackScratch {
+  std::vector<std::int32_t> prev, curr;
+  std::vector<std::uint8_t> dir;
+};
+
 /// Global alignment of `a` vs `b` within |i-j| <= band, with traceback.
-/// Memory O(band * |a|). Throws gnb::Error if the band cannot contain a
-/// global path (band < length difference).
+/// Memory O(band * |a| / 4) bytes. Throws gnb::Error if the band cannot
+/// contain a global path (band < length difference).
 TracebackResult banded_global_traceback(std::span<const std::uint8_t> a,
                                         std::span<const std::uint8_t> b, std::size_t band,
                                         const Scoring& scoring = kDefaultScoring);
+TracebackResult banded_global_traceback(std::span<const std::uint8_t> a,
+                                        std::span<const std::uint8_t> b, std::size_t band,
+                                        const Scoring& scoring, TracebackScratch& scratch);
 
 }  // namespace gnb::align

@@ -1,11 +1,18 @@
 #include "correct/consensus.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <array>
-#include <map>
-#include <memory>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <system_error>
+#include <thread>
 
 #include "align/cigar.hpp"
+#include "obs/spans.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace gnb::correct {
@@ -60,19 +67,33 @@ void add_votes(Pileup& pileup, const align::Cigar& cigar,
   }
 }
 
-}  // namespace
+void accumulate(CorrectionStats& into, const CorrectionStats& read) {
+  into.reads_processed += read.reads_processed;
+  into.reads_changed += read.reads_changed;
+  into.substitutions += read.substitutions;
+  into.deletions += read.deletions;
+  into.insertions += read.insertions;
+  into.positions_covered += read.positions_covered;
+  into.positions_total += read.positions_total;
+}
 
-seq::Sequence correct_read(const seq::Sequence& read, std::span<const Evidence> evidence,
-                           const CorrectionParams& params, CorrectionStats* stats) {
+/// Correct one read; `local` receives this read's stats alone.
+seq::Sequence correct_one(const seq::Sequence& read, std::span<const Evidence> evidence,
+                          const CorrectionParams& params, CorrectionStats& local,
+                          align::TracebackScratch& scratch) {
   const std::vector<std::uint8_t> own = read.unpack();
   Pileup pileup(own.size());
 
   for (const Evidence& ev : evidence) {
     GNB_CHECK(ev.partner != nullptr);
-    GNB_CHECK_MSG(ev.read_end <= own.size() && ev.read_begin <= ev.read_end,
-                  "evidence range out of bounds");
+    GNB_THROW_IF(ev.read_end > own.size() || ev.read_begin > ev.read_end,
+                 "evidence range [" << ev.read_begin << ", " << ev.read_end
+                                    << ") out of bounds for a read of length " << own.size());
     const std::vector<std::uint8_t> partner_codes = ev.partner->unpack();
-    GNB_CHECK(ev.partner_end <= partner_codes.size() && ev.partner_begin <= ev.partner_end);
+    GNB_THROW_IF(ev.partner_end > partner_codes.size() || ev.partner_begin > ev.partner_end,
+                 "evidence range [" << ev.partner_begin << ", " << ev.partner_end
+                                    << ") out of bounds for a partner of length "
+                                    << partner_codes.size());
 
     const std::span<const std::uint8_t> x(partner_codes.data() + ev.partner_begin,
                                           ev.partner_end - ev.partner_begin);
@@ -84,14 +105,16 @@ seq::Sequence correct_read(const seq::Sequence& read, std::span<const Evidence> 
     const std::size_t band = std::max<std::size_t>(
         diff + 4, params.band_extra + static_cast<std::size_t>(params.band_frac *
                                                                static_cast<double>(longer)));
-    const align::TracebackResult tb = align::banded_global_traceback(x, y, band);
+    const align::TracebackResult tb =
+        align::banded_global_traceback(x, y, band, align::kDefaultScoring, scratch);
     add_votes(pileup, tb.cigar, partner_codes, ev.partner_begin, ev.read_begin);
   }
 
   // Consensus sweep.
   std::vector<std::uint8_t> corrected;
   corrected.reserve(own.size() + own.size() / 16);
-  CorrectionStats local;
+  local = CorrectionStats{};
+  local.reads_processed = 1;
   local.positions_total = own.size();
 
   auto apply_insertions = [&](std::size_t gap_index, std::uint32_t coverage_hint) {
@@ -141,26 +164,36 @@ seq::Sequence correct_read(const seq::Sequence& read, std::span<const Evidence> 
     corrected.push_back(own[pos]);
   }
 
-  if (stats != nullptr) {
-    ++stats->reads_processed;
-    stats->substitutions += local.substitutions;
-    stats->deletions += local.deletions;
-    stats->insertions += local.insertions;
-    stats->positions_covered += local.positions_covered;
-    stats->positions_total += local.positions_total;
-    if (local.substitutions + local.deletions + local.insertions > 0) ++stats->reads_changed;
-  }
+  if (local.substitutions + local.deletions + local.insertions > 0) local.reads_changed = 1;
   return seq::Sequence::from_codes(corrected);
 }
 
-CorrectedSet correct_reads(const seq::ReadStore& store,
-                           std::span<const align::AlignmentRecord> records,
-                           const CorrectionParams& params) {
-  // Evidence lists per read. Oriented partner sequences are materialized
-  // lazily per record (reverse complements are cheap at read scale).
-  std::vector<std::vector<Evidence>> evidence(store.size());
-  // Owning storage for reverse-complemented partners.
-  std::vector<std::unique_ptr<seq::Sequence>> oriented;
+/// One worker per CPU this process may run on, never more than `reads`.
+std::size_t worker_count(std::size_t reads) {
+  std::size_t cpus = 0;
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0)
+    cpus = static_cast<std::size_t>(CPU_COUNT(&set));
+  if (cpus == 0) cpus = std::thread::hardware_concurrency();
+  return std::min(std::max<std::size_t>(cpus, 1), reads);
+}
+
+}  // namespace
+
+seq::Sequence correct_read(const seq::Sequence& read, std::span<const Evidence> evidence,
+                           const CorrectionParams& params, CorrectionStats* stats) {
+  align::TracebackScratch scratch;
+  CorrectionStats local;
+  seq::Sequence corrected = correct_one(read, evidence, params, local, scratch);
+  if (stats != nullptr) accumulate(*stats, local);
+  return corrected;
+}
+
+EvidenceSet gather_evidence(const seq::ReadStore& store,
+                            std::span<const align::AlignmentRecord> records) {
+  EvidenceSet set;
+  set.per_read.resize(store.size());
+  std::deque<seq::Sequence>& oriented = set.oriented;
 
   for (const auto& record : records) {
     const align::Alignment& alignment = record.alignment;
@@ -173,9 +206,7 @@ CorrectedSet correct_reads(const seq::ReadStore& store,
     {
       Evidence ev;
       if (alignment.b_reversed) {
-        oriented.push_back(
-            std::make_unique<seq::Sequence>(read_b.sequence.reverse_complement()));
-        ev.partner = oriented.back().get();
+        ev.partner = &oriented.emplace_back(read_b.sequence.reverse_complement());
       } else {
         ev.partner = &read_b.sequence;
       }
@@ -183,7 +214,7 @@ CorrectedSet correct_reads(const seq::ReadStore& store,
       ev.read_end = alignment.a_end;
       ev.partner_begin = alignment.b_begin;
       ev.partner_end = alignment.b_end;
-      evidence[record.read_a].push_back(ev);
+      set.per_read[record.read_a].push_back(ev);
     }
     // Evidence for B: partner is A, brought into B's forward frame.
     {
@@ -191,9 +222,7 @@ CorrectedSet correct_reads(const seq::ReadStore& store,
       if (alignment.b_reversed) {
         // Alignment lives in rc(B) coordinates: flip the range onto B
         // forward and reverse-complement the partner segment's frame.
-        oriented.push_back(
-            std::make_unique<seq::Sequence>(read_a.sequence.reverse_complement()));
-        ev.partner = oriented.back().get();
+        ev.partner = &oriented.emplace_back(read_a.sequence.reverse_complement());
         ev.read_begin = lb - alignment.b_end;
         ev.read_end = lb - alignment.b_begin;
         ev.partner_begin = la - alignment.a_end;
@@ -205,15 +234,67 @@ CorrectedSet correct_reads(const seq::ReadStore& store,
         ev.partner_begin = alignment.a_begin;
         ev.partner_end = alignment.a_end;
       }
-      evidence[record.read_b].push_back(ev);
+      set.per_read[record.read_b].push_back(ev);
     }
   }
 
+  return set;
+}
+
+CorrectedSet correct_reads(const seq::ReadStore& store,
+                           std::span<const align::AlignmentRecord> records,
+                           const CorrectionParams& params) {
+  const std::size_t reads = store.size();
+  const std::size_t workers = worker_count(reads);
+  GNB_SPAN(obs::span::kStageCorrect, "reads", reads, "workers", workers);
+  const EvidenceSet evidence = gather_evidence(store, records);
+
+  // Reads are independent: each worker claims the next unclaimed ReadId
+  // and writes only that read's slots. A failed read stops further claims;
+  // every lower ReadId was claimed before it and runs to completion, so the
+  // lowest failing ReadId, which is the serial loop's first error, is the
+  // one rethrown.
   CorrectedSet out;
-  out.reads.reserve(store.size());
-  for (const seq::Read& read : store.reads())
-    out.reads.push_back(
-        correct_read(read.sequence, evidence[read.id], params, &out.stats));
+  out.reads.resize(reads);
+  std::vector<CorrectionStats> per_read(reads);
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex error_mutex;
+  std::size_t error_read = reads;
+  std::exception_ptr error;
+  const auto work = [&] {
+    align::TracebackScratch scratch;  // per worker, freed when it returns
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t id = next.fetch_add(1, std::memory_order_relaxed);
+      if (id >= reads) break;
+      try {
+        out.reads[id] = correct_one(store.get(static_cast<seq::ReadId>(id)).sequence,
+                                    evidence.per_read[id], params, per_read[id], scratch);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (id < error_read) {
+          error_read = id;
+          error = std::current_exception();
+        }
+        failed.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(workers);
+    for (std::size_t w = 1; w < workers; ++w) {
+      try {
+        threads.emplace_back(work);
+      } catch (const std::system_error&) {
+        break;  // fewer workers; the output is the same
+      }
+    }
+    work();
+  }  // workers join here
+  if (error) std::rethrow_exception(error);
+
+  for (const CorrectionStats& read : per_read) accumulate(out.stats, read);
   return out;
 }
 

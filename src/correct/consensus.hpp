@@ -12,6 +12,7 @@
 // the output error rate drops sharply (tested against ground truth).
 
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <vector>
 
@@ -51,9 +52,22 @@ struct Evidence {
 };
 
 /// Correct a single read from explicit evidence. Exposed for testing and
-/// for callers with their own overlap bookkeeping.
+/// for callers with their own overlap bookkeeping. Throws gnb::Error when
+/// an evidence range runs past its read or its partner.
 seq::Sequence correct_read(const seq::Sequence& read, std::span<const Evidence> evidence,
                            const CorrectionParams& params, CorrectionStats* stats = nullptr);
+
+/// Per-read evidence from an overlap set: each record yields evidence for
+/// both of its reads (B in A's frame, A in B's). `oriented` owns the
+/// reverse-complemented partners that evidence points into; the rest point
+/// into the store.
+struct EvidenceSet {
+  std::vector<std::vector<Evidence>> per_read;  // by ReadId
+  std::deque<seq::Sequence> oriented;
+};
+
+EvidenceSet gather_evidence(const seq::ReadStore& store,
+                            std::span<const align::AlignmentRecord> records);
 
 struct CorrectedSet {
   std::vector<seq::Sequence> reads;  // by ReadId; uncovered reads unchanged
@@ -61,7 +75,10 @@ struct CorrectedSet {
 };
 
 /// Correct every read of `store` using the accepted overlap set (both
-/// sides of each alignment serve as evidence for the other).
+/// sides of each alignment serve as evidence for the other). Reads are
+/// split across one worker thread per CPU the process may run on; the
+/// output and stats equal correct_read over gather_evidence in ReadId
+/// order, and an error in any worker is rethrown here.
 CorrectedSet correct_reads(const seq::ReadStore& store,
                            std::span<const align::AlignmentRecord> records,
                            const CorrectionParams& params = {});

@@ -61,6 +61,9 @@ inline constexpr const char* kGraphContig = "graph.contig";
 inline constexpr const char* kStagePartition = "stage.partition";
 inline constexpr const char* kStageKmerFilter = "stage.kmer_filter";
 inline constexpr const char* kStageTaskAssign = "stage.task_assign";
+// Consensus correction (correct::correct_reads), on the calling thread; its
+// worker threads emit no spans.
+inline constexpr const char* kStageCorrect = "stage.correct";
 
 // Instant events (faults, deaths).
 inline constexpr const char* kFaultCrash = "fault.crash";

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
+#include <string>
 
 #include "align/banded.hpp"
 #include "align/cigar.hpp"
@@ -143,6 +146,200 @@ TEST(Traceback, EmptyInputs) {
   EXPECT_EQ(cigar_string(rr.cigar), "2I");
 }
 
+// ---------- banded traceback: parity with the reference kernel ----------
+
+namespace {
+
+// ThreadSanitizer slows the reference kernel by well over an order of
+// magnitude; run fewer fuzz pairs there.
+#if defined(__SANITIZE_THREAD__)
+#define GNB_TSAN_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define GNB_TSAN_BUILD 1
+#endif
+#endif
+
+// The reference: the straightforward banded traceback, with a full-row
+// reset, per-cell validity tests and one byte per direction. The library
+// kernel must reproduce its score, CIGAR and cell count exactly.
+TracebackResult reference_traceback(std::span<const std::uint8_t> a,
+                                    std::span<const std::uint8_t> b, std::size_t band,
+                                    const Scoring& scoring) {
+  constexpr std::int32_t kNegInf = std::numeric_limits<std::int32_t>::min() / 4;
+  enum Dir : std::uint8_t { kDiag = 0, kUp = 1, kLeft = 2, kNone = 3 };
+  const std::size_t na = a.size();
+  const std::size_t nb = b.size();
+  const std::size_t width = 2 * band + 1;
+
+  TracebackResult result;
+  std::vector<std::uint8_t> dir((na + 1) * width, kNone);
+  const auto dir_at = [&](std::size_t i, std::size_t j) -> std::uint8_t& {
+    return dir[i * width + (j + band - i)];
+  };
+
+  std::vector<std::int32_t> prev(nb + 1, kNegInf), curr(nb + 1, kNegInf);
+  for (std::size_t j = 0; j <= std::min(band, nb); ++j) {
+    prev[j] = static_cast<std::int32_t>(j) * scoring.gap;
+    dir_at(0, j) = j == 0 ? kNone : kLeft;
+  }
+
+  for (std::size_t i = 1; i <= na; ++i) {
+    const std::size_t lo = i > band ? i - band : 0;
+    const std::size_t hi = std::min(nb, i + band);
+    std::fill(curr.begin(), curr.end(), kNegInf);
+    for (std::size_t j = lo; j <= hi; ++j) {
+      if (j == 0) {
+        curr[0] = static_cast<std::int32_t>(i) * scoring.gap;
+        dir_at(i, 0) = kUp;
+        ++result.cells;
+        continue;
+      }
+      std::int32_t best = kNegInf;
+      std::uint8_t direction = kNone;
+      if (prev[j - 1] > kNegInf) {
+        best = prev[j - 1] + scoring.substitution(a[i - 1], b[j - 1]);
+        direction = kDiag;
+      }
+      if (j <= i + band - 1 && prev[j] > kNegInf) {
+        if (const std::int32_t up = prev[j] + scoring.gap; up > best) {
+          best = up;
+          direction = kUp;
+        }
+      }
+      if (curr[j - 1] > kNegInf) {
+        if (const std::int32_t left = curr[j - 1] + scoring.gap; left > best) {
+          best = left;
+          direction = kLeft;
+        }
+      }
+      curr[j] = best;
+      dir_at(i, j) = direction;
+      ++result.cells;
+    }
+    std::swap(prev, curr);
+  }
+  result.score = prev[nb];
+
+  Cigar reversed;
+  auto push = [&](CigarOp op) {
+    if (!reversed.empty() && reversed.back().op == op) {
+      ++reversed.back().length;
+    } else {
+      reversed.push_back(CigarRun{op, 1});
+    }
+  };
+  std::size_t i = na, j = nb;
+  while (i != 0 || j != 0) {
+    const std::uint8_t direction = dir_at(i, j);
+    EXPECT_NE(direction, kNone) << "reference traceback escaped the band";
+    if (direction == kNone) break;
+    switch (direction) {
+      case kDiag: {
+        const bool equal = a[i - 1] == b[j - 1] && a[i - 1] != seq::kN && b[j - 1] != seq::kN;
+        push(equal ? CigarOp::kMatch : CigarOp::kMismatch);
+        --i;
+        --j;
+        break;
+      }
+      case kUp:
+        push(CigarOp::kInsertion);
+        --i;
+        break;
+      default:
+        push(CigarOp::kDeletion);
+        --j;
+        break;
+    }
+  }
+  result.cigar.assign(reversed.rbegin(), reversed.rend());
+  return result;
+}
+
+Codes sprinkle_n(Codes codes, double rate, Xoshiro256& rng) {
+  for (auto& base : codes)
+    if (rng.uniform() < rate) base = seq::kN;
+  return codes;
+}
+
+/// Runs both kernels on one pair and compares everything they report.
+void expect_kernel_parity(const Codes& a, const Codes& b, std::size_t band,
+                          const Scoring& scoring, TracebackScratch& scratch) {
+  const TracebackResult want = reference_traceback(a, b, band, scoring);
+  const TracebackResult got = banded_global_traceback(a, b, band, scoring, scratch);
+  SCOPED_TRACE("|a|=" + std::to_string(a.size()) + " |b|=" + std::to_string(b.size()) +
+               " band=" + std::to_string(band));
+  EXPECT_EQ(got.score, want.score);
+  EXPECT_EQ(cigar_string(got.cigar), cigar_string(want.cigar));
+  EXPECT_EQ(got.cells, want.cells);
+  EXPECT_TRUE(cigar_consistent(got.cigar, a, b));
+}
+
+}  // namespace
+
+TEST(TracebackParity, FuzzedPairsMatchReferenceKernel) {
+  Xoshiro256 rng(2024);
+  const std::array<Scoring, 3> scorings{kDefaultScoring, Scoring{2, -3, -2},
+                                        Scoring{1, -4, -1}};
+#ifdef GNB_TSAN_BUILD
+  constexpr int kTrials = 24;
+#else
+  constexpr int kTrials = 150;
+#endif
+  // One scratch for every call: buffers left by a longer or wider pair
+  // must never leak into a shorter one.
+  TracebackScratch scratch;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    // Either side may be empty; otherwise b is a mutated copy of a (a real
+    // overlap) or an unrelated sequence of any length up to 2000.
+    const std::size_t roll = rng.below(10);
+    Codes a = roll == 0 ? Codes{} : random_codes(rng.below(2001), rng);
+    Codes b;
+    if (roll == 1) {
+      b = {};
+    } else if (roll < 6) {
+      b = mutate(a, 0.02 + 0.2 * rng.uniform(), rng);
+      if (b.size() > 2000) b.resize(2000);
+    } else {
+      b = random_codes(rng.below(2001), rng);
+    }
+    a = sprinkle_n(std::move(a), 0.03, rng);
+    b = sprinkle_n(std::move(b), 0.03, rng);
+
+    const std::size_t diff = a.size() > b.size() ? a.size() - b.size() : b.size() - a.size();
+    const std::size_t full = a.size() + b.size();
+    std::size_t band = 0;
+    switch (rng.below(5)) {
+      case 0: band = diff; break;                            // tightest legal band
+      case 1: band = diff + 1 + rng.below(8); break;         // barely wider
+      case 2: band = diff + rng.below(400); break;           // correction-like
+      case 3: band = full + rng.below(3); break;             // covers the whole matrix
+      default: band = diff + rng.below(full - diff + 1); break;
+    }
+    expect_kernel_parity(a, b, band, scorings[rng.below(scorings.size())], scratch);
+  }
+}
+
+TEST(TracebackParity, EdgeShapesMatchReferenceKernel) {
+  Xoshiro256 rng(7);
+  TracebackScratch scratch;
+  const Scoring scoring{2, -3, -2};
+  const Codes empty;
+  const Codes one = sprinkle_n(random_codes(1, rng), 0.5, rng);
+  const Codes some = sprinkle_n(random_codes(37, rng), 0.1, rng);
+  const Codes other = sprinkle_n(random_codes(41, rng), 0.1, rng);
+  for (const Codes* a : {&empty, &one, &some, &other})
+    for (const Codes* b : {&empty, &one, &some, &other}) {
+      const std::size_t diff =
+          a->size() > b->size() ? a->size() - b->size() : b->size() - a->size();
+      for (const std::size_t band : {diff, diff + 1, diff + 5, a->size() + b->size(),
+                                     a->size() + b->size() + 9}) {
+        expect_kernel_parity(*a, *b, band, scoring, scratch);
+        expect_kernel_parity(*a, *b, band, kDefaultScoring, scratch);
+      }
+    }
+}
+
 // ---------- correct_read unit cases ----------
 
 namespace {
@@ -240,42 +437,62 @@ TEST(CorrectRead, DisagreeingPartnersDoNotOverride) {
 
 // ---------- end-to-end correction quality ----------
 
-TEST(CorrectReads, ImprovesIdentityAgainstGroundTruth) {
-  // Sample noisy reads from a genome, overlap them, correct them, and
-  // verify reads moved closer to their true fragments.
-  wl::DatasetSpec spec = wl::tiny_spec();
-  spec.genome.length = 12'000;
-  spec.reads.coverage = 12;
-  spec.reads.error_rate = 0.06;
-  spec.reads.n_rate = 0;
-  const wl::SampledDataset dataset = wl::synthesize(spec, 41);
+namespace {
 
-  // Need the genome again for ground truth: regenerate deterministically.
-  Xoshiro256 rng(41);
-  const seq::Sequence genome = wl::generate_genome(spec.genome, rng);
-
-  const auto band = kmer::reliable_bounds(
-      kmer::BellaParams{spec.reads.coverage, spec.reads.error_rate, spec.k, 1e-3});
-  pipeline::PipelineConfig config;
-  config.k = spec.k;
-  config.lo = band.lo;
-  config.hi = band.hi;
-  const pipeline::TaskSet tasks = pipeline::run_serial(dataset.reads, config, 2);
-  core::EngineConfig engine;
-  engine.filter = align::AlignmentFilter{80, 150};
+/// Noisy reads from a 12 kbp genome on both strands, overlapped by the BSP
+/// engine on two ranks. Built once and shared by the correct_reads tests.
+struct OverlapFixture {
+  wl::SampledDataset dataset;
+  seq::Sequence genome;
   std::vector<align::AlignmentRecord> records;
-  {
+};
+
+const OverlapFixture& overlap_fixture() {
+  static const OverlapFixture fixture = [] {
+    OverlapFixture f;
+    wl::DatasetSpec spec = wl::tiny_spec();
+    spec.genome.length = 12'000;
+    spec.reads.coverage = 12;
+    spec.reads.error_rate = 0.06;
+    spec.reads.n_rate = 0;
+    f.dataset = wl::synthesize(spec, 41);
+
+    // Need the genome again for ground truth: regenerate deterministically.
+    Xoshiro256 rng(41);
+    f.genome = wl::generate_genome(spec.genome, rng);
+
+    const auto band = kmer::reliable_bounds(
+        kmer::BellaParams{spec.reads.coverage, spec.reads.error_rate, spec.k, 1e-3});
+    pipeline::PipelineConfig config;
+    config.k = spec.k;
+    config.lo = band.lo;
+    config.hi = band.hi;
+    const pipeline::TaskSet tasks = pipeline::run_serial(f.dataset.reads, config, 2);
+    core::EngineConfig engine;
+    engine.filter = align::AlignmentFilter{80, 150};
     rt::World world(2);
     std::vector<std::vector<align::AlignmentRecord>> per_rank(2);
     world.run([&](rt::Rank& rank) {
-      per_rank[rank.id()] = core::bsp_align(rank, dataset.reads, tasks.bounds,
+      per_rank[rank.id()] = core::bsp_align(rank, f.dataset.reads, tasks.bounds,
                                             tasks.per_rank[rank.id()], engine)
                                 .accepted;
     });
-    for (auto& part : per_rank) records.insert(records.end(), part.begin(), part.end());
-  }
+    for (auto& part : per_rank) f.records.insert(f.records.end(), part.begin(), part.end());
+    return f;
+  }();
+  return fixture;
+}
 
-  const correct::CorrectedSet corrected = correct::correct_reads(dataset.reads, records);
+}  // namespace
+
+TEST(CorrectReads, ImprovesIdentityAgainstGroundTruth) {
+  // Sample noisy reads from a genome, overlap them, correct them, and
+  // verify reads moved closer to their true fragments.
+  const OverlapFixture& fixture = overlap_fixture();
+  const wl::SampledDataset& dataset = fixture.dataset;
+  const seq::Sequence& genome = fixture.genome;
+  const correct::CorrectedSet corrected =
+      correct::correct_reads(dataset.reads, fixture.records);
   ASSERT_EQ(corrected.reads.size(), dataset.reads.size());
   EXPECT_GT(corrected.stats.reads_changed, 0u);
 
@@ -302,4 +519,66 @@ TEST(CorrectReads, ImprovesIdentityAgainstGroundTruth) {
   EXPECT_GT(after, before + 0.01) << "correction did not improve identity: " << before
                                   << " -> " << after;
   EXPECT_GT(after, 0.97);
+}
+
+TEST(CorrectReads, ParallelRunEqualsSerialCorrectRead) {
+  const OverlapFixture& fixture = overlap_fixture();
+  const seq::ReadStore& store = fixture.dataset.reads;
+  // Both orientations must be exercised: reverse-strand records flip the
+  // read range and reverse-complement the partner.
+  std::size_t reversed = 0;
+  for (const auto& record : fixture.records) reversed += record.alignment.b_reversed ? 1 : 0;
+  ASSERT_GT(reversed, 0u);
+  ASSERT_LT(reversed, fixture.records.size());
+
+  correct::CorrectionParams tight;
+  tight.band_frac = 0.1;
+  tight.min_coverage = 2;
+  tight.majority = 0.5;
+#ifdef GNB_TSAN_BUILD
+  // The narrow band alone: the same worker hand-off at a fraction of the cells.
+  for (const correct::CorrectionParams& params : {tight}) {
+#else
+  for (const correct::CorrectionParams& params : {correct::CorrectionParams{}, tight}) {
+#endif
+    const correct::CorrectedSet parallel =
+        correct::correct_reads(store, fixture.records, params);
+
+    const correct::EvidenceSet evidence = correct::gather_evidence(store, fixture.records);
+    correct::CorrectionStats serial_stats;
+    std::vector<seq::Sequence> serial;
+    for (const seq::Read& read : store.reads())
+      serial.push_back(correct::correct_read(read.sequence, evidence.per_read[read.id], params,
+                                             &serial_stats));
+
+    ASSERT_EQ(parallel.reads.size(), serial.size());
+    for (std::size_t id = 0; id < serial.size(); ++id)
+      EXPECT_EQ(parallel.reads[id], serial[id]) << "read " << id;
+    const correct::CorrectionStats& got = parallel.stats;
+    EXPECT_EQ(got.reads_processed, serial_stats.reads_processed);
+    EXPECT_EQ(got.reads_changed, serial_stats.reads_changed);
+    EXPECT_EQ(got.substitutions, serial_stats.substitutions);
+    EXPECT_EQ(got.deletions, serial_stats.deletions);
+    EXPECT_EQ(got.insertions, serial_stats.insertions);
+    EXPECT_EQ(got.positions_covered, serial_stats.positions_covered);
+    EXPECT_EQ(got.positions_total, serial_stats.positions_total);
+    EXPECT_GT(got.reads_changed, 0u);
+  }
+}
+
+TEST(CorrectReads, RecordPastItsReadThrowsInsteadOfAborting) {
+  const OverlapFixture& fixture = overlap_fixture();
+  const seq::ReadStore& store = fixture.dataset.reads;
+  // One record per orientation, each pushed past the end of a read; the
+  // bad record sits in the middle so other workers are busy when it fails.
+  for (const bool b_reversed : {false, true}) {
+    std::vector<align::AlignmentRecord> records = fixture.records;
+    const auto bad = std::find_if(
+        records.begin() + static_cast<std::ptrdiff_t>(records.size() / 2), records.end(),
+        [&](const align::AlignmentRecord& r) { return r.alignment.b_reversed == b_reversed; });
+    ASSERT_NE(bad, records.end());
+    bad->alignment.b_end =
+        static_cast<std::uint32_t>(store.get(bad->read_b).length()) + 7;
+    EXPECT_THROW(correct::correct_reads(store, records), Error) << "b_reversed " << b_reversed;
+  }
 }
